@@ -9,6 +9,7 @@
 //! cargo run --release -p vt-bench --bin vtprof                 # all kernels
 //! cargo run --release -p vt-bench --bin vtprof -- bfs spmv --arch vt
 //! cargo run --release -p vt-bench --bin vtprof -- bfs --check  # validate
+//! cargo run --release -p vt-bench --bin vtprof -- sgemm --overhead
 //! ```
 //!
 //! Exit codes: 0 success, 1 a `--check` validation failed, 2 usage or
@@ -17,6 +18,7 @@
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 use vt_bench::cli;
 use vt_bench::cpi::{stack_report, CpiRecord};
 use vt_bench::hotspot::{self, ProfileRecord};
@@ -68,6 +70,12 @@ options:
                                      per-PC Perfetto counter-track trace
                                      (<kernel>.<arch>.pcs.trace.json);
                                      implies --profile
+  --overhead                         profiling cost instead of a trace: time 7
+                                     interleaved untraced in-process runs of
+                                     each kernel with and without --profile
+                                     and print `KERNEL ARCH PLAIN_NS
+                                     PROFILED_NS`, each the minimum of its 7
+                                     runs; nothing is written
   --json                             machine-readable metrics on stdout
   --list                             list suite kernel names and exit
   -h, --help                         this help
@@ -89,6 +97,7 @@ struct Opts {
     profile: bool,
     annotate: bool,
     flame: bool,
+    overhead: bool,
     json: bool,
 }
 
@@ -107,6 +116,7 @@ fn parse_args() -> Result<Option<Opts>, String> {
         profile: false,
         annotate: false,
         flame: false,
+        overhead: false,
         json: false,
     };
     let mut args = std::env::args().skip(1);
@@ -158,6 +168,7 @@ fn parse_args() -> Result<Option<Opts>, String> {
                     .parse()
                     .map_err(|e| format!("--window: {e}"))?;
             }
+            "--overhead" => o.overhead = true,
             "--ring" => {
                 o.ring = value("--ring")?
                     .parse()
@@ -224,6 +235,29 @@ fn hist_line(name: &str, h: &Histogram) -> String {
         h.percentile(99.0),
         h.max
     )
+}
+
+/// Runs of each kind `--overhead` times; the minimum is reported.
+const OVERHEAD_REPS: u32 = 7;
+
+/// Minimum host nanoseconds over [`OVERHEAD_REPS`] untraced runs of `w`
+/// without and with per-PC profiling. The two kinds alternate, so machine
+/// drift affects both alike.
+fn overhead(w: &Workload, cfg: &GpuConfig) -> Result<[u128; 2], String> {
+    let mut best = [u128::MAX; 2];
+    for _ in 0..OVERHEAD_REPS {
+        for (i, profile) in [false, true].into_iter().enumerate() {
+            let mut cfg = cfg.clone();
+            cfg.core.profile = profile;
+            let t0 = Instant::now();
+            Session::new(cfg)
+                .run(RunRequest::kernel(&w.kernel))
+                .and_then(|o| o.completed())
+                .map_err(|e| format!("{}: {e}", w.name))?;
+            best[i] = best[i].min(t0.elapsed().as_nanos());
+        }
+    }
+    Ok(best)
 }
 
 struct RunOutcome {
@@ -489,6 +523,17 @@ fn main() -> ExitCode {
     let mut cfg = GpuConfig::with_arch(opts.arch);
     if let Some(sms) = opts.sms {
         cfg.core.num_sms = sms.max(1);
+    }
+    if opts.overhead {
+        for w in picked {
+            match overhead(w, &cfg) {
+                Ok([plain, profiled]) => {
+                    println!("{} {} {plain} {profiled}", w.name, opts.arch.label());
+                }
+                Err(e) => return cli::code(cli::fail("vtprof", &e)),
+            }
+        }
+        return ExitCode::SUCCESS;
     }
     let mut records = Vec::new();
     let mut failed = false;

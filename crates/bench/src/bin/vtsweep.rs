@@ -52,7 +52,7 @@ options:
   --arch LIST                        comma-separated subset of
                                      baseline,vt,ideal,memswap or `all`
                                      (default all)
-  --scale test|small|paper           problem scale (default test)
+  --scale test|small|quick|paper     problem scale (default test)
   --sms N                            number of SMs (default config's 15)
   --threads N                        worker threads (default $VT_THREADS,
                                      else the machine's parallelism;
@@ -191,6 +191,7 @@ fn parse_args() -> Result<Option<Opts>, String> {
                 o.scale = match value("--scale")?.as_str() {
                     "test" => Scale::test(),
                     "small" => Scale::small(),
+                    "quick" => Scale::quick(),
                     "paper" => Scale::paper(),
                     other => return Err(format!("unknown scale `{other}`")),
                 };

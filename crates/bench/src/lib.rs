@@ -65,16 +65,11 @@ impl Harness {
         }
     }
 
-    /// The problem scale experiments run at. Quick mode still
-    /// oversubscribes every SM (the phenomenon under study needs more
-    /// CTAs than the scheduling limit admits) but with fewer waves and
-    /// shorter inner loops.
+    /// The problem scale experiments run at: [`Scale::quick`] in quick
+    /// mode, [`Scale::paper`] otherwise.
     pub fn scale(&self) -> Scale {
         if self.quick {
-            Scale {
-                ctas: 240,
-                iters: 4,
-            }
+            Scale::quick()
         } else {
             Scale::paper()
         }

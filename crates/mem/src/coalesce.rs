@@ -5,45 +5,36 @@
 //! (transactions); fully-coalesced unit-stride accesses produce one
 //! 128-byte transaction, scattered accesses produce up to 32.
 
-/// One coalesced memory transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transaction {
-    /// Segment-aligned address divided by the segment size.
-    pub line_addr: u64,
-    /// Lanes whose access falls in this segment.
-    pub lane_mask: u32,
-}
-
-/// Coalesces per-lane byte addresses into aligned `segment_bytes`
-/// transactions, preserving first-touch order (the order the hardware
-/// would issue them).
+/// Coalesces per-lane byte addresses into the aligned `segment_bytes`
+/// segments they touch, one transaction each, and returns each
+/// transaction's line address (the segment-aligned address divided by
+/// the segment size) in first-touch order (the order the hardware would
+/// issue them). Allocates once, for the returned list.
 ///
 /// `addrs[lane]` is consulted only for lanes set in `mask`.
 ///
 /// # Panics
 ///
 /// Panics if `segment_bytes` is not a power of two.
-pub fn coalesce(addrs: &[u32; 32], mask: u32, segment_bytes: u32) -> Vec<Transaction> {
+pub fn coalesce(addrs: &[u32; 32], mask: u32, segment_bytes: u32) -> Vec<u64> {
     assert!(
         segment_bytes.is_power_of_two(),
         "segment size must be a power of two"
     );
     let shift = segment_bytes.trailing_zeros();
-    let mut txs: Vec<Transaction> = Vec::new();
+    let mut lines = [0u64; 32];
+    let mut n = 0;
     let mut m = mask;
     while m != 0 {
         let lane = m.trailing_zeros();
         m &= m - 1;
         let line = u64::from(addrs[lane as usize] >> shift);
-        match txs.iter_mut().find(|t| t.line_addr == line) {
-            Some(t) => t.lane_mask |= 1 << lane,
-            None => txs.push(Transaction {
-                line_addr: line,
-                lane_mask: 1 << lane,
-            }),
+        if !lines[..n].contains(&line) {
+            lines[n] = line;
+            n += 1;
         }
     }
-    txs
+    lines[..n].to_vec()
 }
 
 /// Number of serialised shared-memory access rounds for a warp access with
@@ -81,53 +72,70 @@ mod tests {
         a
     }
 
+    /// The active lanes of `mask` that fall in each of `lines`' 128-byte
+    /// segments.
+    fn lane_masks(addrs: &[u32; 32], mask: u32, lines: &[u64]) -> Vec<u32> {
+        lines
+            .iter()
+            .map(|&line| {
+                (0..32)
+                    .filter(|&lane| mask >> lane & 1 == 1)
+                    .filter(|&lane| u64::from(addrs[lane] >> 7) == line)
+                    .fold(0, |m, lane| m | 1 << lane)
+            })
+            .collect()
+    }
+
     #[test]
     fn unit_stride_coalesces_to_one_transaction() {
-        let txs = coalesce(&seq_addrs(0x1000, 4), u32::MAX, 128);
-        assert_eq!(txs.len(), 1);
-        assert_eq!(txs[0].line_addr, 0x1000 / 128);
-        assert_eq!(txs[0].lane_mask, u32::MAX);
+        let addrs = seq_addrs(0x1000, 4);
+        let lines = coalesce(&addrs, u32::MAX, 128);
+        assert_eq!(lines, [0x1000 / 128]);
+        assert_eq!(lane_masks(&addrs, u32::MAX, &lines), [u32::MAX]);
     }
 
     #[test]
     fn misaligned_unit_stride_needs_two() {
-        let txs = coalesce(&seq_addrs(0x1000 + 64, 4), u32::MAX, 128);
-        assert_eq!(txs.len(), 2);
+        let lines = coalesce(&seq_addrs(0x1000 + 64, 4), u32::MAX, 128);
+        assert_eq!(lines.len(), 2);
     }
 
     #[test]
     fn large_stride_fully_diverges() {
-        let txs = coalesce(&seq_addrs(0, 128), u32::MAX, 128);
-        assert_eq!(txs.len(), 32);
-        for (i, t) in txs.iter().enumerate() {
-            assert_eq!(t.line_addr, i as u64);
-            assert_eq!(t.lane_mask, 1 << i);
+        let addrs = seq_addrs(0, 128);
+        let lines = coalesce(&addrs, u32::MAX, 128);
+        assert_eq!(lines.len(), 32);
+        let masks = lane_masks(&addrs, u32::MAX, &lines);
+        for (i, (&line, &lanes)) in lines.iter().zip(&masks).enumerate() {
+            assert_eq!(line, i as u64);
+            assert_eq!(lanes, 1 << i);
         }
     }
 
     #[test]
     fn inactive_lanes_are_ignored() {
-        let txs = coalesce(&seq_addrs(0, 128), 0b101, 128);
-        assert_eq!(txs.len(), 2);
-        assert_eq!(txs[0].lane_mask, 0b001);
-        assert_eq!(txs[1].lane_mask, 0b100);
+        let addrs = seq_addrs(0, 128);
+        let lines = coalesce(&addrs, 0b101, 128);
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lane_masks(&addrs, 0b101, &lines), [0b001, 0b100]);
     }
 
     #[test]
     fn same_address_broadcast_is_one_transaction() {
-        let txs = coalesce(&[0x40; 32], u32::MAX, 128);
-        assert_eq!(txs.len(), 1);
+        let lines = coalesce(&[0x40; 32], u32::MAX, 128);
+        assert_eq!(lines.len(), 1);
     }
 
     #[test]
     fn lane_masks_partition_the_active_mask() {
         let addrs = seq_addrs(100, 52);
         let mask = 0xff00_f00fu32;
-        let txs = coalesce(&addrs, mask, 128);
+        let lines = coalesce(&addrs, mask, 128);
         let mut union = 0u32;
-        for t in &txs {
-            assert_eq!(union & t.lane_mask, 0, "disjoint");
-            union |= t.lane_mask;
+        for lanes in lane_masks(&addrs, mask, &lines) {
+            assert_ne!(lanes, 0, "transaction no active lane touches");
+            assert_eq!(union & lanes, 0, "disjoint");
+            union |= lanes;
         }
         assert_eq!(union, mask);
     }

@@ -20,24 +20,29 @@ fn coalescer_partitions_the_active_mask() {
             *a = r.gen_range(0..1 << 24);
         }
         let mask = r.next_u32();
-        let txs = coalesce(&addrs, mask, 128);
+        let lines = coalesce(&addrs, mask, 128);
         let mut union = 0u32;
-        for t in &txs {
-            assert_eq!(union & t.lane_mask, 0, "lane in two transactions");
-            union |= t.lane_mask;
-            // Every lane's address falls inside its transaction's segment.
-            let mut m = t.lane_mask;
+        for &line in &lines {
+            // The lanes whose address falls inside this transaction's
+            // segment.
+            let mut lanes = 0u32;
+            let mut m = mask;
             while m != 0 {
                 let lane = m.trailing_zeros();
                 m &= m - 1;
-                assert_eq!(u64::from(addrs[lane as usize] >> 7), t.line_addr);
+                if u64::from(addrs[lane as usize] >> 7) == line {
+                    lanes |= 1 << lane;
+                }
             }
+            assert_ne!(lanes, 0, "transaction no active lane touches");
+            assert_eq!(union & lanes, 0, "lane in two transactions");
+            union |= lanes;
         }
         assert_eq!(union, mask);
-        assert!(txs.len() <= mask.count_ones() as usize);
+        assert!(lines.len() <= mask.count_ones() as usize);
         // Distinct transactions have distinct lines.
-        let lines: HashSet<u64> = txs.iter().map(|t| t.line_addr).collect();
-        assert_eq!(lines.len(), txs.len());
+        let distinct: HashSet<u64> = lines.iter().copied().collect();
+        assert_eq!(distinct.len(), lines.len());
     }
 }
 

@@ -94,7 +94,16 @@ pub struct Sm {
     // (ready cycle, warp slot, reg, warp uid)
     writebacks: BinaryHeap<Reverse<(u64, usize, u16, u64)>>,
     issue_list: Vec<usize>,
+    /// `in_issue_list[w]` mirrors `issue_list.contains(&w)`; maintained by
+    /// `rebuild_issue_list` so GTO's greedy re-pick check is O(1).
+    in_issue_list: Vec<bool>,
     issue_dirty: bool,
+    /// Quiescent-SM memo: a cache of last cycle's idle verdict, never
+    /// checkpointed (see [`Quiescence`]).
+    quiet: Option<Quiescence>,
+    /// Cycles that took the quiescent fast path.
+    #[cfg(test)]
+    quiet_hits: u64,
     next_uid: u64,
     cta_seq: u64,
     max_simt_depth: usize,
@@ -112,6 +121,26 @@ pub struct Sm {
     /// (which must not touch the shared [`MemImage`]), applied by
     /// [`Sm::apply_deferred`] in issue order at the cycle's merge point.
     deferred: Vec<DeferredAccess>,
+}
+
+/// The quiescent-SM memo. A full-evaluation cycle in which the SM issued
+/// nothing and the residency step changed nothing leaves the idle verdict
+/// it charged here, with the first cycle at which a *timer* could change
+/// that verdict. Until then, a cycle that brings no *event* — no
+/// writeback retired, no LD/ST event, no LD/ST queue movement, no
+/// issue-list change — would repeat the same residency and issue steps
+/// on the same state and charge the same bucket, so [`Sm::tick_phase`]
+/// charges the memo instead (DESIGN.md §18). A pure cache: it is never
+/// checkpointed, and a restored SM rebuilds it on its first full cycle.
+#[derive(Debug, Clone, Copy)]
+struct Quiescence {
+    /// The `IdleBreakdown` bucket charged, named by its stall reason.
+    stall: StallReason,
+    /// The per-PC blame for `stall` (computed on profiled ticks only).
+    blame: Option<usize>,
+    /// The earliest of the SFU interval end, a swap's `done_at` and the
+    /// throttle window end; the fast path holds only before it.
+    wake_at: u64,
 }
 
 /// One warp global-memory instruction whose functional effect is deferred
@@ -170,7 +199,11 @@ impl Sm {
             ldst: LdstUnit::new(id, core.ldst_queue_depth, core.smem_latency),
             writebacks: BinaryHeap::new(),
             issue_list: Vec::new(),
+            in_issue_list: Vec::new(),
             issue_dirty: true,
+            quiet: None,
+            #[cfg(test)]
+            quiet_hits: 0,
             next_uid: 0,
             cta_seq: 0,
             max_simt_depth: 0,
@@ -344,7 +377,8 @@ impl Sm {
         }
     }
 
-    /// Activates ready inactive CTAs while active slots are available.
+    /// Activates ready inactive CTAs while active slots are available;
+    /// returns whether any was activated.
     fn try_activate<S: TraceSink>(
         &mut self,
         now: u64,
@@ -353,11 +387,12 @@ impl Sm {
         res: &ResidencyConfig,
         stats: &mut RunStats,
         sink: &mut S,
-    ) {
+    ) -> bool {
         let wpc = kernel.warps_per_cta();
+        let mut activated = false;
         loop {
             if !self.active_slot_available(wpc, core, res) {
-                return;
+                return activated;
             }
             // Oldest ready CTA first: partially-run CTAs drain capacity
             // sooner, fresh CTAs keep the pipeline fed.
@@ -374,8 +409,9 @@ impl Sm {
                     )
                 });
             let Some((slot, has_context)) = candidate else {
-                return;
+                return activated;
             };
+            activated = true;
             let n_warps = self.ctas[slot].warps.len() as u32;
             self.slot_ctas += 1;
             self.slot_warps += n_warps;
@@ -456,6 +492,8 @@ impl Sm {
     }
 
     /// Completes timed swap transitions and evaluates the swap trigger.
+    /// Returns whether any CTA changed phase; a throttle-window roll alone
+    /// does not count, since the window end is a fast-path wake deadline.
     #[allow(clippy::too_many_arguments)]
     fn update_residency<S: TraceSink>(
         &mut self,
@@ -465,20 +503,19 @@ impl Sm {
         res: &ResidencyConfig,
         stats: &mut RunStats,
         sink: &mut S,
-    ) {
+    ) -> bool {
         let Some(swap) = res.swap else {
             // No swapping: still activate parked CTAs when slots free up
             // (e.g. after a CTA finished).
-            if self.issue_dirty {
-                self.try_activate(now, kernel, core, res, stats, sink);
-            }
-            return;
+            return self.issue_dirty && self.try_activate(now, kernel, core, res, stats, sink);
         };
 
         // 1. Complete in-flight transitions.
+        let mut changed = false;
         for slot in 0..self.ctas.len() {
             match self.ctas[slot].phase {
                 CtaPhase::SwappingOut { done_at } if done_at <= now => {
+                    changed = true;
                     // The slot was already released when the save started.
                     self.ctas[slot].phase = CtaPhase::Inactive { has_context: true };
                     self.ctas[slot].inactive_since = now;
@@ -496,6 +533,7 @@ impl Sm {
                     }
                 }
                 CtaPhase::SwappingIn { done_at } if done_at <= now => {
+                    changed = true;
                     self.swapping_ctas -= 1;
                     self.finish_activation(slot, now, sink);
                 }
@@ -504,7 +542,7 @@ impl Sm {
         }
 
         // 2. Fill any free active slots with ready CTAs.
-        self.try_activate(now, kernel, core, res, stats, sink);
+        changed |= self.try_activate(now, kernel, core, res, stats, sink);
 
         // 3. Thrash feedback: hill-climb between "rotate" (normal VT) and
         //    "hold" (stable active set) on the measured issue rate.
@@ -551,28 +589,33 @@ impl Sm {
                 self.throttle_window_end = now + window;
             }
             if self.throttle_hold {
-                return;
+                return changed;
             }
         }
 
         // 4. Trigger: swap out stalled active CTAs, one per ready
-        //    replacement waiting in the inactive pool.
+        //    replacement waiting in the inactive pool. The pool is counted
+        //    only once some active CTA meets the trigger, before any swap,
+        //    so the decisions match counting it up front.
         if swap.trigger == SwapTrigger::Never {
-            return;
+            return changed;
         }
-        let mut ready_replacements = self.ctas.iter().filter(|c| self.cta_ready(c)).count();
-        if ready_replacements == 0 {
-            return;
-        }
+        let mut ready_replacements = None;
         let mut swapped_any = false;
         for slot in 0..self.ctas.len() {
-            if ready_replacements == 0 {
+            if ready_replacements == Some(0) {
                 break;
             }
             if self.ctas[slot].phase != CtaPhase::Active {
                 continue;
             }
             if self.swap_trigger_met(slot, swap.trigger, kernel) {
+                let left = ready_replacements
+                    .get_or_insert_with(|| self.ctas.iter().filter(|c| self.cta_ready(c)).count());
+                if *left == 0 {
+                    break;
+                }
+                *left -= 1;
                 let n_warps = self.ctas[slot].warps.len() as u32;
                 self.ctas[slot].phase = CtaPhase::SwappingOut {
                     done_at: now + u64::from(swap.save_cycles),
@@ -608,7 +651,6 @@ impl Sm {
                         },
                     );
                 }
-                ready_replacements -= 1;
                 swapped_any = true;
             }
         }
@@ -616,6 +658,7 @@ impl Sm {
             // Refill the freed slots in the same cycle (overlapped swap).
             self.try_activate(now, kernel, core, res, stats, sink);
         }
+        changed || swapped_any
     }
 
     fn swap_trigger_met(&self, cta_slot: usize, trigger: SwapTrigger, kernel: &Kernel) -> bool {
@@ -733,11 +776,13 @@ impl Sm {
         attr: EmptyAttr,
     ) -> Result<(), ExecError> {
         // 1. Short-latency writebacks.
+        let mut woke = false;
         while let Some(&Reverse((ready, wslot, reg, uid))) = self.writebacks.peek() {
             if ready > now {
                 break;
             }
             self.writebacks.pop();
+            woke = true;
             if self.warp_uids[wslot] == uid {
                 self.warps[wslot].scoreboard.clear(Reg(reg));
             }
@@ -746,7 +791,10 @@ impl Sm {
         // 2. Memory events (shared latency, global responses, long-stall
         //    notifications). Events may outlive their CTA — a warp can
         //    exit with loads in flight — so uids filter stale records.
-        for event in self.ldst.tick_traced(now, front, sink) {
+        let queued = self.ldst.queue_len();
+        let events = self.ldst.tick_traced(now, front, sink);
+        woke |= !events.is_empty() || self.ldst.queue_len() != queued;
+        for event in events {
             match event {
                 LdstEvent::Completed(c) => {
                     // Latency is observed per issue site, before the uid
@@ -784,8 +832,26 @@ impl Sm {
             }
         }
 
+        // Quiescent fast path: nothing arrived that could wake a stalled
+        // SM, so steps 3-4 would repeat last cycle's verdict on the same
+        // state. Charge the memo instead.
+        match self.quiet {
+            Some(q) if !woke && !self.issue_dirty && self.resident_warps > 0 && now < q.wake_at => {
+                #[cfg(debug_assertions)]
+                self.check_quiescence::<PROFILED>(q, now, kernel, core, res);
+                #[cfg(test)]
+                {
+                    self.quiet_hits += 1;
+                }
+                self.sample_occupancy(stats);
+                charge_idle::<PROFILED>(stats, q.stall, q.blame);
+                return Ok(());
+            }
+            _ => self.quiet = None,
+        }
+
         // 3. CTA residency: swap completions, trigger, activations.
-        self.update_residency(now, kernel, core, res, stats, sink);
+        let residency_changed = self.update_residency(now, kernel, core, res, stats, sink);
 
         // 4. Issue.
         if self.issue_dirty {
@@ -808,18 +874,132 @@ impl Sm {
 
         self.window_issues += u64::from(issued);
 
-        // 5. Stats.
-        self.accumulate_stats::<PROFILED>(now, issued, first_issue_pc, kernel, stats, attr);
+        // 5. Stats. A stalled cycle that changed no residency is
+        //    quiescent: memoise its verdict for the fast path.
+        let stalled =
+            self.accumulate_stats::<PROFILED>(now, issued, first_issue_pc, kernel, stats, attr);
+        if let (Some((stall, blame)), false) = (stalled, residency_changed) {
+            debug_assert!(
+                !self.issue_dirty,
+                "quiescent cycle left the issue list dirty"
+            );
+            self.quiet = Some(Quiescence {
+                stall,
+                blame,
+                wake_at: self.wake_deadline(now, res),
+            });
+        }
         Ok(())
     }
 
+    /// The first cycle after `now` at which a timer, rather than an
+    /// event, can change a stalled SM's verdict: the SFU interval ending
+    /// (`SfuBusy` readiness), a swap completing, or the throttle window
+    /// rolling over.
+    fn wake_deadline(&self, now: u64, res: &ResidencyConfig) -> u64 {
+        let mut at = if self.sfu_free_at > now {
+            self.sfu_free_at
+        } else {
+            u64::MAX
+        };
+        if self.swapping_ctas > 0 {
+            for cta in &self.ctas {
+                if let CtaPhase::SwappingIn { done_at } | CtaPhase::SwappingOut { done_at } =
+                    cta.phase
+                {
+                    at = at.min(done_at);
+                }
+            }
+        }
+        if res.swap.is_some_and(|s| s.throttle.is_some()) {
+            at = at.min(self.throttle_window_end);
+        }
+        at
+    }
+
+    /// Debug-build shadow of the quiescent fast path: re-derives, without
+    /// mutating anything, what the skipped residency, issue and stats
+    /// steps would have done this cycle, and asserts the memo matches.
+    #[cfg(debug_assertions)]
+    fn check_quiescence<const PROFILED: bool>(
+        &self,
+        q: Quiescence,
+        now: u64,
+        kernel: &Kernel,
+        core: &CoreConfig,
+        res: &ResidencyConfig,
+    ) {
+        debug_assert!(
+            !self.residency_would_change(now, kernel, core, res),
+            "SM {} cycle {now}: quiescent fast path skipped a residency change",
+            self.id
+        );
+        debug_assert!(
+            self.issue_list
+                .iter()
+                .all(|&w| self.readiness(w, now, kernel) != Readiness::Ready),
+            "SM {} cycle {now}: quiescent fast path skipped an issuable warp",
+            self.id
+        );
+        debug_assert_eq!(
+            self.classify_stall::<PROFILED>(now, kernel),
+            (q.stall, q.blame),
+            "SM {} cycle {now}: quiescent fast path charged a stale verdict",
+            self.id
+        );
+    }
+
+    /// Whether [`Sm::update_residency`] would change a CTA's phase at
+    /// `now` — the pure predicate behind its mutations.
+    #[cfg(debug_assertions)]
+    fn residency_would_change(
+        &self,
+        now: u64,
+        kernel: &Kernel,
+        core: &CoreConfig,
+        res: &ResidencyConfig,
+    ) -> bool {
+        let any_ready = || self.ctas.iter().any(|c| self.cta_ready(c));
+        let activation =
+            self.active_slot_available(kernel.warps_per_cta(), core, res) && any_ready();
+        let Some(swap) = res.swap else {
+            return self.issue_dirty && activation;
+        };
+        let transition_due = self.ctas.iter().any(|c| {
+            matches!(c.phase, CtaPhase::SwappingIn { done_at } | CtaPhase::SwappingOut { done_at }
+                if done_at <= now)
+        });
+        if transition_due || activation {
+            return true;
+        }
+        if swap.throttle.is_some() {
+            if now >= self.throttle_window_end {
+                return true;
+            }
+            if self.throttle_hold {
+                return false;
+            }
+        }
+        swap.trigger != SwapTrigger::Never
+            && any_ready()
+            && (0..self.ctas.len()).any(|slot| {
+                self.ctas[slot].phase == CtaPhase::Active
+                    && self.swap_trigger_met(slot, swap.trigger, kernel)
+            })
+    }
+
     fn rebuild_issue_list(&mut self) {
+        for &w in &self.issue_list {
+            self.in_issue_list[w] = false;
+        }
         self.issue_list.clear();
+        self.in_issue_list.resize(self.warps.len(), false);
         for cta in &self.ctas {
             if cta.is_active() {
                 for &w in &cta.warps {
                     if !self.warps[w].done {
                         self.issue_list.push(w);
+                        self.in_issue_list[w] = true;
                     }
                 }
             }
@@ -872,7 +1052,7 @@ impl Sm {
             crate::config::SchedPolicy::Gto => {
                 if let Some(last) = self.sched_last[s] {
                     if in_partition(last)
-                        && self.issue_list.contains(&last)
+                        && self.in_issue_list[last]
                         && self.readiness(last, now, kernel) == Readiness::Ready
                     {
                         return Some(last);
@@ -1269,8 +1449,7 @@ impl Sm {
                     .push_shared(wslot, self.warp_uids[wslot], rounds, dst, pc as u32, now);
             }
             MemSpace::Global => {
-                let txs = coalesce(&addrs, mask, self.line_bytes);
-                let lines: Vec<u64> = txs.iter().map(|t| t.line_addr).collect();
+                let lines = coalesce(&addrs, mask, self.line_bytes);
                 if PROFILED {
                     if let Some(h) = stats.hotspots.as_mut() {
                         h.record_coalesce(pc, lines.len() as u64);
@@ -1540,15 +1719,9 @@ impl Sm {
 
     // ----- stats -------------------------------------------------------------
 
-    fn accumulate_stats<const PROFILED: bool>(
-        &self,
-        now: u64,
-        issued: u32,
-        first_issue_pc: Option<usize>,
-        kernel: &Kernel,
-        stats: &mut RunStats,
-        attr: EmptyAttr,
-    ) {
+    /// The per-cycle occupancy, swap-busy and LD/ST-queue samples every
+    /// SM-cycle takes, issuing or not.
+    fn sample_occupancy(&self, stats: &mut RunStats) {
         let occ = &mut stats.occupancy;
         occ.sm_cycles += 1;
         occ.resident_warp_cycles += u64::from(self.resident_warps);
@@ -1561,6 +1734,20 @@ impl Sm {
             stats.swaps.swap_busy_cycles += 1;
         }
         stats.ldst_queue.sample(self.ldst.queue_len() as u64);
+    }
+
+    /// Charges this cycle's stats. Returns the stall verdict charged when
+    /// warps were resident but none issued (the quiescence candidate).
+    fn accumulate_stats<const PROFILED: bool>(
+        &self,
+        now: u64,
+        issued: u32,
+        first_issue_pc: Option<usize>,
+        kernel: &Kernel,
+        stats: &mut RunStats,
+        attr: EmptyAttr,
+    ) -> Option<(StallReason, Option<usize>)> {
+        self.sample_occupancy(stats);
         if issued > 0 {
             stats.issue_cycles += 1;
             // The cycle's one issue tally goes to the first PC that
@@ -1570,7 +1757,7 @@ impl Sm {
                     h.record_issue_cycle(pc);
                 }
             }
-            return;
+            return None;
         }
         // Idle cycle: classify.
         if self.resident_warps == 0 {
@@ -1585,30 +1772,38 @@ impl Sm {
             } else {
                 stats.empty.capacity += 1;
             }
-            return;
+            return None;
         }
+        let (stall, blame) = self.classify_stall::<PROFILED>(now, kernel);
+        charge_idle::<PROFILED>(stats, stall, blame);
+        Some((stall, blame))
+    }
+
+    /// Why a non-empty SM issued nothing at `now`: the idle bucket (named
+    /// by its stall reason) and, when `PROFILED`, the PC to blame.
+    /// Read-only, so the debug shadow check can re-run it.
+    fn classify_stall<const PROFILED: bool>(
+        &self,
+        now: u64,
+        kernel: &Kernel,
+    ) -> (StallReason, Option<usize>) {
         if self.active_phase_warps == 0 {
             if self.swapping_ctas > 0 {
-                stats.idle.swapping += 1;
                 // Context-switch overhead has no instruction to blame.
-                if PROFILED {
-                    charge_stall(stats, None, StallReason::Swap);
-                }
-            } else {
-                // Everything resident is inactive and waiting on memory.
-                stats.idle.memory += 1;
-                if PROFILED {
-                    // Blame the oldest inactive warp with loads in flight.
-                    let pc = self
-                        .warps
-                        .iter()
-                        .filter(|w| !w.done && w.pending_loads > 0)
-                        .min_by_key(|w| w.age)
-                        .map(|w| w.stack.pc());
-                    charge_stall(stats, pc, StallReason::Memory);
-                }
+                return (StallReason::Swap, None);
             }
-            return;
+            // Everything resident is inactive and waiting on memory;
+            // blame the oldest inactive warp with loads in flight.
+            let pc = if PROFILED {
+                self.warps
+                    .iter()
+                    .filter(|w| !w.done && w.pending_loads > 0)
+                    .min_by_key(|w| w.age)
+                    .map(|w| w.stack.pc())
+            } else {
+                None
+            };
+            return (StallReason::Memory, pc);
         }
         let (mut mem_b, mut pipe_b, mut barrier_b) = (false, false, false);
         let mut all_barrier = true;
@@ -1652,20 +1847,16 @@ impl Sm {
                 }
             }
         }
-        let (bucket, blame, reason) = if mem_b {
-            (&mut stats.idle.memory, first_mem, StallReason::Memory)
+        if mem_b {
+            (StallReason::Memory, first_mem)
         } else if barrier_b && all_barrier {
-            (&mut stats.idle.barrier, first_barrier, StallReason::Barrier)
+            (StallReason::Barrier, first_barrier)
         } else if pipe_b {
-            (&mut stats.idle.pipeline, first_pipe, StallReason::Pipeline)
+            (StallReason::Pipeline, first_pipe)
         } else {
             // Structural hazards (LD/ST queue, SFU interval, scheduler
             // partition imbalance) and anything unclassified.
-            (&mut stats.idle.other, first_other, StallReason::Structural)
-        };
-        *bucket += 1;
-        if PROFILED {
-            charge_stall(stats, blame, reason);
+            (StallReason::Structural, first_other)
         }
     }
 
@@ -1954,7 +2145,11 @@ impl Sm {
             ldst: LdstUnit::restore(req(v, "ldst")?)?,
             writebacks,
             issue_list: Vec::new(),
+            in_issue_list: Vec::new(),
             issue_dirty: true,
+            quiet: None,
+            #[cfg(test)]
+            quiet_hits: 0,
             next_uid: req_u64(v, "next_uid")?,
             cta_seq: req_u64(v, "cta_seq")?,
             max_simt_depth: req_u64(v, "max_simt_depth")? as usize,
@@ -1989,12 +2184,26 @@ enum MemOp {
     },
 }
 
-/// Charges one stall cycle of `reason` to `pc` in the hotspot profile
-/// (unattributed when no instruction is blamable). Only called on
-/// `PROFILED = true` paths.
-fn charge_stall(stats: &mut RunStats, pc: Option<usize>, reason: StallReason) {
-    if let Some(h) = stats.hotspots.as_mut() {
-        h.record_stall(pc, reason);
+/// Charges one idle SM-cycle to the [`crate::stats::IdleBreakdown`]
+/// bucket of `stall` and, when `PROFILED`, to `blame` in the hotspot
+/// profile (unattributed when no instruction is blamable).
+fn charge_idle<const PROFILED: bool>(
+    stats: &mut RunStats,
+    stall: StallReason,
+    blame: Option<usize>,
+) {
+    let idle = &mut stats.idle;
+    *match stall {
+        StallReason::Memory => &mut idle.memory,
+        StallReason::Pipeline => &mut idle.pipeline,
+        StallReason::Barrier => &mut idle.barrier,
+        StallReason::Swap => &mut idle.swapping,
+        StallReason::Structural => &mut idle.other,
+    } += 1;
+    if PROFILED {
+        if let Some(h) = stats.hotspots.as_mut() {
+            h.record_stall(blame, stall);
+        }
     }
 }
 
@@ -2004,5 +2213,382 @@ fn thread_ctx(w: &WarpRt, lane: u32, kernel: &Kernel, ctas: &[CtaRt]) -> ThreadC
         ctaid: ctas[w.cta_slot].cta_id,
         ntid: kernel.threads_per_cta(),
         ncta: kernel.num_ctas(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Wake tests for the quiescent fast path: each drives one wake
+    //! source on a single SM and checks, cycle by cycle, that the fast
+    //! path was in effect up to the wake and was left exactly at it.
+    //! Debug builds also run the shadow check on every fast cycle.
+
+    use super::*;
+    use crate::config::{SwapConfig, ThrottleConfig};
+    use vt_isa::op::{SfuOp, Sreg};
+    use vt_isa::KernelBuilder;
+    use vt_mem::MemConfig;
+
+    /// One driven SM-cycle.
+    struct Cycle {
+        /// The quiescent fast path charged this cycle.
+        fast: bool,
+        /// A warp issued this cycle.
+        issued: bool,
+        /// Warps were resident after the tick.
+        resident: bool,
+        /// The test's probe of the SM after the tick.
+        probe: u64,
+    }
+
+    /// Runs `kernel` on one SM until it drains, admitting CTA `i` at the
+    /// end of the first cycle at or after `admit_at[i]` that it fits, as
+    /// the engine's dispatcher does.
+    fn drive(
+        kernel: &Kernel,
+        core: &CoreConfig,
+        res: &ResidencyConfig,
+        admit_at: &[u64],
+        probe: impl Fn(&Sm) -> u64,
+    ) -> Vec<Cycle> {
+        assert_eq!(kernel.num_ctas() as usize, admit_at.len());
+        let mcfg = MemConfig::default();
+        let mut mem = MemSystem::new(&mcfg, 1);
+        let mut sm = Sm::new(0, core, mcfg.line_bytes);
+        let mut image = kernel.global_mem().clone();
+        let mut stats = RunStats::default();
+        let mut next = 0;
+        let mut log = Vec::new();
+        for now in 0..100_000 {
+            mem.tick(now);
+            let (hits, issues) = (sm.quiet_hits, stats.issue_cycles);
+            sm.tick(
+                now,
+                kernel,
+                core,
+                res,
+                &mut mem,
+                &mut image,
+                &mut stats,
+                EmptyAttr::drained(),
+            )
+            .expect("kernel runs");
+            log.push(Cycle {
+                fast: sm.quiet_hits > hits,
+                issued: stats.issue_cycles > issues,
+                resident: sm.resident_warps > 0,
+                probe: probe(&sm),
+            });
+            while next < admit_at.len() && admit_at[next] <= now && sm.can_admit(kernel, core, res)
+            {
+                sm.admit(next as u32, kernel, core, res, now, &mut stats);
+                next += 1;
+            }
+            if next == admit_at.len() && sm.idle() && mem.quiesced() {
+                assert_eq!(stats.ctas_completed, admit_at.len() as u64);
+                assert!(sm.quiet_hits > 0, "the fast path was never taken");
+                return log;
+            }
+        }
+        panic!("kernel did not drain");
+    }
+
+    /// Checks every cycle `t` that `is_wake(log, t)` names: the fast path
+    /// must not charge it, and must have charged `t - 1` whenever warps
+    /// were resident and none issued on `t - 2` and `t - 1` (so a memo
+    /// was in place).
+    /// Returns how many wakes met that condition.
+    fn assert_wakes(log: &[Cycle], is_wake: impl Fn(&[Cycle], usize) -> bool) -> usize {
+        let mut checked = 0;
+        for t in 2..log.len() {
+            if !is_wake(log, t) {
+                continue;
+            }
+            assert!(!log[t].fast, "cycle {t}: fast path taken through a wake");
+            let (a, b) = (&log[t - 2], &log[t - 1]);
+            if a.resident && b.resident && !a.issued && !b.issued {
+                assert!(
+                    log[t - 1].fast,
+                    "cycle {}: stalled SM not on the fast path",
+                    t - 1
+                );
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    /// The probe of the previous cycle named this cycle (a deadline).
+    fn deadline_hit(log: &[Cycle], t: usize) -> bool {
+        log[t - 1].probe == t as u64
+    }
+
+    fn rose(log: &[Cycle], t: usize) -> bool {
+        log[t].probe > log[t - 1].probe
+    }
+
+    fn fell(log: &[Cycle], t: usize) -> bool {
+        log[t].probe < log[t - 1].probe
+    }
+
+    fn one_sm() -> CoreConfig {
+        CoreConfig {
+            num_sms: 1,
+            ..CoreConfig::default()
+        }
+    }
+
+    /// One active CTA slot, unlimited residency, all-warps-stalled swaps.
+    fn vt(throttle: Option<ThrottleConfig>) -> (CoreConfig, ResidencyConfig) {
+        let core = CoreConfig {
+            max_ctas_per_sm: 1,
+            ..one_sm()
+        };
+        let res = ResidencyConfig {
+            admission: AdmissionPolicy::CapacityOnly {
+                max_resident_ctas: None,
+            },
+            active: ActivePolicy::SchedulingLimit,
+            swap: Some(SwapConfig {
+                trigger: SwapTrigger::AllWarpsStalled,
+                save_cycles: 200,
+                restore_cycles: 30,
+                fresh_activation_cycles: 15,
+                throttle,
+            }),
+        };
+        (core, res)
+    }
+
+    /// `out[gid] = xs[gid] + 1`: one long global load per thread.
+    fn load_add_store(ctas: u32) -> Kernel {
+        let n = (ctas * 32) as usize;
+        let mut b = KernelBuilder::new("load_add_store");
+        let xs = b.alloc_global_init(&(0..n as u32).collect::<Vec<_>>());
+        let out = b.alloc_global(n);
+        let (gid, off, v) = (b.reg(), b.reg(), b.reg());
+        b.global_thread_id(gid);
+        b.shl(off, Operand::Reg(gid), Operand::Imm(2));
+        b.ld_global(v, Operand::Reg(off), xs as i32);
+        b.add(v, Operand::Reg(v), Operand::Imm(1));
+        b.st_global(Operand::Reg(off), out as i32, Operand::Reg(v));
+        b.exit();
+        b.build(ctas, 32).unwrap()
+    }
+
+    fn pending(sm: &Sm, reg: Reg) -> u64 {
+        u64::from(
+            sm.warps
+                .first()
+                .is_some_and(|w| w.scoreboard.is_pending(reg)),
+        )
+    }
+
+    #[test]
+    fn alu_writeback_wakes() {
+        let mut b = KernelBuilder::new("alu_chain");
+        let r = [b.reg(), b.reg(), b.reg(), b.reg()];
+        b.mov(r[0], Operand::Sreg(Sreg::Tid));
+        for i in 1..4 {
+            b.add(r[i], Operand::Reg(r[i - 1]), Operand::Imm(1));
+        }
+        b.exit();
+        let k = b.build(1, 32).unwrap();
+        let log = drive(&k, &one_sm(), &ResidencyConfig::baseline(), &[0], |sm| {
+            sm.writebacks.peek().map_or(u64::MAX, |r| r.0 .0)
+        });
+        assert_eq!(assert_wakes(&log, deadline_hit), 3);
+    }
+
+    #[test]
+    fn ldst_completion_wakes() {
+        let mut b = KernelBuilder::new("smem_roundtrip");
+        let buf = b.alloc_shared(32);
+        let (tid, off, v) = (b.reg(), b.reg(), b.reg());
+        b.mov(tid, Operand::Sreg(Sreg::Tid));
+        b.shl(off, Operand::Reg(tid), Operand::Imm(2));
+        b.ld_shared(v, Operand::Reg(off), buf as i32);
+        b.st_shared(Operand::Reg(off), buf as i32, Operand::Reg(v));
+        b.exit();
+        let k = b.build(1, 32).unwrap();
+        let log = drive(&k, &one_sm(), &ResidencyConfig::baseline(), &[0], |sm| {
+            pending(sm, v)
+        });
+        assert_eq!(assert_wakes(&log, fell), 1);
+        let log = drive(
+            &load_add_store(1),
+            &one_sm(),
+            &ResidencyConfig::baseline(),
+            &[0],
+            |sm| pending(sm, Reg(2)),
+        );
+        assert_eq!(assert_wakes(&log, fell), 1);
+    }
+
+    #[test]
+    fn miss_notification_wakes() {
+        // Load 1 misses on lines 0..31; load 2 re-touches lines 0..15
+        // (hits, one L1 port per cycle) before its first miss, so that
+        // miss is observed while the SM is quiescent and the access is
+        // still being submitted.
+        let mut b = KernelBuilder::new("hit_then_miss");
+        let base = b.alloc_global(64 * 32);
+        let (tid, line, half, addr, v, w) = (b.reg(), b.reg(), b.reg(), b.reg(), b.reg(), b.reg());
+        b.mov(tid, Operand::Sreg(Sreg::Tid));
+        b.shl(line, Operand::Reg(tid), Operand::Imm(7));
+        b.ld_global(v, Operand::Reg(line), base as i32);
+        b.shr(half, Operand::Reg(tid), Operand::Imm(4));
+        b.shl(half, Operand::Reg(half), Operand::Imm(12));
+        b.add(addr, Operand::Reg(line), Operand::Reg(half));
+        b.add(addr, Operand::Reg(addr), Operand::Reg(v));
+        b.ld_global(w, Operand::Reg(addr), base as i32);
+        b.st_global(Operand::Reg(line), base as i32, Operand::Reg(w));
+        b.exit();
+        let k = b.build(1, 32).unwrap();
+        let log = drive(&k, &one_sm(), &ResidencyConfig::baseline(), &[0], |sm| {
+            sm.warps
+                .first()
+                .map_or(0, |w| u64::from(w.long_pending_loads))
+        });
+        assert_eq!(assert_wakes(&log, rose), 1);
+    }
+
+    #[test]
+    fn ldst_queue_leaving_full_wakes() {
+        // A one-entry queue and two warps storing 32 scattered lines each:
+        // every queue pop wakes the SM to issue the next store.
+        let core = CoreConfig {
+            ldst_queue_depth: 1,
+            ..one_sm()
+        };
+        let mut b = KernelBuilder::new("scatter_stores");
+        let base = b.alloc_global(64 * 32 * 2);
+        let (tid, addr) = (b.reg(), b.reg());
+        b.mov(tid, Operand::Sreg(Sreg::Tid));
+        b.shl(addr, Operand::Reg(tid), Operand::Imm(7));
+        b.st_global(Operand::Reg(addr), base as i32, Operand::Reg(tid));
+        b.st_global(Operand::Reg(addr), base as i32 + 4, Operand::Reg(tid));
+        b.exit();
+        let k = b.build(1, 64).unwrap();
+        let log = drive(&k, &core, &ResidencyConfig::baseline(), &[0], |sm| {
+            sm.ldst.queue_len() as u64
+        });
+        // A pop and the issue it enables share a cycle, so the queue reads
+        // full after both; the wake shows as an issue out of a full queue.
+        // Nothing else is in flight once the stores start.
+        let popped = |log: &[Cycle], t: usize| log[t].issued && log[t - 1].probe == 1;
+        assert_eq!(assert_wakes(&log, popped), 3);
+    }
+
+    #[test]
+    fn sfu_interval_expiry_wakes() {
+        let core = CoreConfig {
+            sfu_init_interval: 16,
+            sfu_latency: 40,
+            ..one_sm()
+        };
+        let mut b = KernelBuilder::new("sfu_pair");
+        let (x, y, z) = (b.reg(), b.reg(), b.reg());
+        b.mov(x, Operand::Sreg(Sreg::Tid));
+        b.sfu(SfuOp::Rcp, y, Operand::Reg(x));
+        b.sfu(SfuOp::Rcp, z, Operand::Reg(x));
+        b.exit();
+        let k = b.build(1, 32).unwrap();
+        let log = drive(&k, &core, &ResidencyConfig::baseline(), &[0], |sm| {
+            sm.sfu_free_at
+        });
+        assert_eq!(assert_wakes(&log, deadline_hit), 1);
+    }
+
+    /// The earliest `done_at` among CTAs in the phase `pick` selects.
+    fn swap_deadline(sm: &Sm, pick: impl Fn(CtaPhase) -> Option<u64>) -> u64 {
+        sm.ctas
+            .iter()
+            .filter_map(|c| pick(c.phase))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn swap_in_done_wakes() {
+        let (core, res) = vt(None);
+        let log = drive(&load_add_store(2), &core, &res, &[0, 0], |sm| {
+            swap_deadline(sm, |p| match p {
+                CtaPhase::SwappingIn { done_at } => Some(done_at),
+                _ => None,
+            })
+        });
+        assert!(assert_wakes(&log, deadline_hit) >= 2);
+    }
+
+    #[test]
+    fn swap_out_done_wakes() {
+        let (core, res) = vt(None);
+        let log = drive(&load_add_store(2), &core, &res, &[0, 0], |sm| {
+            swap_deadline(sm, |p| match p {
+                CtaPhase::SwappingOut { done_at } => Some(done_at),
+                _ => None,
+            })
+        });
+        assert!(assert_wakes(&log, deadline_hit) >= 1);
+    }
+
+    #[test]
+    fn throttle_window_boundary_wakes() {
+        let (core, res) = vt(Some(ThrottleConfig {
+            window_cycles: 64,
+            phase_windows: 2,
+            probe_every_phases: 2,
+        }));
+        let log = drive(&load_add_store(2), &core, &res, &[0, 0], |sm| {
+            sm.throttle_window_end
+        });
+        assert!(assert_wakes(&log, deadline_hit) >= 3);
+    }
+
+    #[test]
+    fn barrier_release_ends_the_fast_path() {
+        // Warp 0 waits at the barrier while warp 1 waits on memory. The
+        // release is an issue (warp 1's `bar`), so it never lands on a
+        // fast cycle; what matters is that the wait ran fast and the
+        // memo did not outlive the release.
+        let mut b = KernelBuilder::new("bar_behind_load");
+        let base = b.alloc_global(64);
+        let (wid, off, v) = (b.reg(), b.reg(), b.reg());
+        b.mov(wid, Operand::Sreg(Sreg::WarpId));
+        b.if_(Operand::Reg(wid), |b| {
+            b.mov(off, Operand::Sreg(Sreg::Tid));
+            b.shl(off, Operand::Reg(off), Operand::Imm(2));
+            b.ld_global(v, Operand::Reg(off), base as i32);
+            b.add(v, Operand::Reg(v), Operand::Imm(1));
+        });
+        b.bar();
+        b.exit();
+        let k = b.build(1, 64).unwrap();
+        let log = drive(&k, &one_sm(), &ResidencyConfig::baseline(), &[0], |sm| {
+            sm.warps.iter().filter(|w| w.waiting_barrier).count() as u64
+        });
+        assert!(
+            log.iter().any(|c| c.fast && c.probe > 0),
+            "barrier wait not fast"
+        );
+        let release = (1..log.len()).find(|&t| fell(&log, t)).unwrap();
+        assert!(!log[release].fast && !log[release + 1].fast);
+    }
+
+    #[test]
+    fn cta_admit_and_finish_end_the_fast_path() {
+        let core = one_sm();
+        let res = ResidencyConfig::baseline();
+        let log = drive(&load_add_store(2), &core, &res, &[0, 100], |sm| {
+            u64::from(sm.resident_ctas)
+        });
+        // The admit lands while CTA 0 waits on memory.
+        assert_eq!(assert_wakes(&log, rose), 1);
+        let finishes: Vec<usize> = (1..log.len()).filter(|&t| fell(&log, t)).collect();
+        assert_eq!(finishes.len(), 2);
+        // After the first finish CTA 1 is still resident: the issue list
+        // must be rebuilt before the SM may go quiet again.
+        assert!(!log[finishes[0]].fast && !log[finishes[0] + 1].fast);
     }
 }

@@ -30,6 +30,17 @@ impl Scale {
         Scale { ctas: 90, iters: 4 }
     }
 
+    /// The experiment harness's `--quick` scale: still oversubscribes
+    /// every SM (the phenomenon under study needs more CTAs than the
+    /// scheduling limit admits) but with fewer waves and shorter inner
+    /// loops.
+    pub fn quick() -> Scale {
+        Scale {
+            ctas: 240,
+            iters: 4,
+        }
+    }
+
     /// The scale the experiment harness uses to regenerate the paper's
     /// figures: enough waves of CTAs per SM for steady-state behaviour.
     pub fn paper() -> Scale {

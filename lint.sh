@@ -81,24 +81,15 @@ cargo run -q --release -p vt-bench --bin vtdiff -- --pc \
 # Bit-identity of profiled vs unprofiled stats is asserted exactly by
 # `--test hotspots` above (profiling_never_perturbs_the_run); this is
 # the wall-clock side: enabling the profiler must not blow up runtime.
-# Min-of-3 against a generous 2x bound keeps the gate meaningful but
-# robust to a loaded CI machine.
+# `vtprof --overhead` times untraced runs in-process, profiled and
+# unprofiled alternately, and reports the minimum of each, so neither
+# process start-up nor tracing hides the profiler's own cost. Min-of-7
+# against a generous 2x bound keeps the gate meaningful but robust to a
+# loaded CI machine.
 echo "== profiling overhead gate (profiled run within 2x of unprofiled)"
-min_ns() {
-  local best=
-  for _ in 1 2 3; do
-    local t0 t1
-    t0=$(date +%s%N)
-    cargo run -q --release -p vt-bench --bin vtprof -- sgemm \
-      --sms 2 --out "$VTHOT_TMP" "$@" >/dev/null
-    t1=$(date +%s%N)
-    local dt=$((t1 - t0))
-    if [[ -z "$best" || $dt -lt $best ]]; then best=$dt; fi
-  done
-  echo "$best"
-}
-plain_ns=$(min_ns)
-prof_ns=$(min_ns --profile)
+overhead=$(cargo run -q --release -p vt-bench --bin vtprof -- \
+  sgemm --sms 2 --overhead)
+read -r _ _ plain_ns prof_ns <<<"$overhead"
 if ((prof_ns > 2 * plain_ns)); then
   echo "lint: profiling overhead gate failed:" \
     "profiled ${prof_ns}ns vs unprofiled ${plain_ns}ns (> 2x)" >&2

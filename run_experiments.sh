@@ -11,9 +11,14 @@ VT_THREADS="${VT_THREADS:-0}"
 echo "=============================================================="
 echo "== vtsweep (kernel x architecture grid, VT_THREADS=$VT_THREADS)"
 echo "=============================================================="
-# Figure/table flags like --quick are not forwarded here: vtsweep takes
-# its own options. --check re-verifies parallel == sequential on the fly.
-cargo run --release -q -p vt-bench --bin vtsweep -- --threads "$VT_THREADS" --check 2>/dev/null
+# vtsweep takes its own options, so of the figure/table flags only
+# --quick is translated (to its quick scale). --check re-verifies
+# parallel == sequential on the fly.
+SWEEP_ARGS=()
+for a in "$@"; do
+  if [[ "$a" == "--quick" ]]; then SWEEP_ARGS=(--scale quick); fi
+done
+cargo run --release -q -p vt-bench --bin vtsweep -- --threads "$VT_THREADS" "${SWEEP_ARGS[@]}" --check 2>/dev/null
 echo
 
 BINS="tab01_config tab02_benchmarks tab03_overhead tab04_energy fig01_limiter fig02_utilization fig03_speedup fig04_alternatives fig05_slots_sweep fig06_swap_latency fig07_scheduler fig08_idle_breakdown fig09_trigger_ablation fig10_timeline fig11_cache_sensitivity fig12_latency_sensitivity fig13_adaptive_throttle"
